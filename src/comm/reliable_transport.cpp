@@ -1,7 +1,9 @@
 #include "comm/reliable_transport.hpp"
 
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <thread>
 
 #include "comm/comm_error.hpp"
@@ -38,40 +40,97 @@ constexpr std::size_t kHeaderBytes = 40;
 constexpr std::uint64_t kCtlMagic = 0x6774306b41524bULL;  // "gt0kARK"
 constexpr std::size_t kCtlBytes = 24;
 
-std::uint64_t fnv1a(const std::byte* data, std::size_t n,
-                    std::uint64_t h = 0xcbf29ce484222325ULL) {
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<std::uint64_t>(data[i]);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
+// Word-at-a-time 64-bit checksum, in the style of xxHash64: four
+// independent multiply-rotate lanes consume the data as 32-byte stripes of
+// four 8-byte words, so the work per byte is a fraction of a byte-wise hash
+// and the lanes pipeline. Every step that takes in data is a bijection of
+// that data for a fixed running state (the primes are odd, rotations and
+// xor are invertible), and every step that folds a lane or a key word into
+// the running hash is a bijection of that lane or word. A corruption
+// confined to one 8-byte word, to one trailing byte, or to one key word
+// therefore always changes the result: every single-bit flip is detected
+// with certainty, not merely with probability 1 - 2^-64.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
 
-std::uint64_t envelope_checksum(std::uint64_t seq, std::int64_t orig_tag,
-                                std::int64_t orig_epoch,
-                                const std::vector<std::byte>& payload) {
-    std::byte key[24];
-    std::memcpy(key, &seq, 8);
-    std::memcpy(key + 8, &orig_tag, 8);
-    std::memcpy(key + 16, &orig_epoch, 8);
-    return fnv1a(payload.data(), payload.size(), fnv1a(key, sizeof key));
-}
-
-void put_u64(std::byte* at, std::uint64_t v) { std::memcpy(at, &v, 8); }
 std::uint64_t get_u64(const std::byte* at) {
     std::uint64_t v = 0;
     std::memcpy(&v, at, 8);
     return v;
 }
 
+/// One lane step: bijective in `word` for a fixed `acc`, and in `acc` for a
+/// fixed `word`.
+constexpr std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
+    return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+/// Fold a lane value or a whole word into the running hash: bijective in
+/// each argument with the other fixed.
+constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+    return std::rotl(h ^ lane_round(0, v), 27) * kPrime1 + kPrime4;
+}
+
+/// Checksum of `n` bytes at `data`, then of each key word in order.
+std::uint64_t checksum64(const std::byte* data, std::size_t n,
+                         std::initializer_list<std::uint64_t> key) {
+    const std::byte* p = data;
+    const std::byte* const end = data + n;
+    std::uint64_t h = kPrime5;
+    if (n >= 32) {
+        std::uint64_t v1 = kPrime1 + kPrime2;
+        std::uint64_t v2 = kPrime2;
+        std::uint64_t v3 = 0;
+        std::uint64_t v4 = 0 - kPrime1;
+        for (; end - p >= 32; p += 32) {
+            v1 = lane_round(v1, get_u64(p));
+            v2 = lane_round(v2, get_u64(p + 8));
+            v3 = lane_round(v3, get_u64(p + 16));
+            v4 = lane_round(v4, get_u64(p + 24));
+        }
+        h = fold(fold(fold(fold(h, v1), v2), v3), v4);
+    }
+    h += static_cast<std::uint64_t>(n);
+    for (; end - p >= 8; p += 8) h = fold(h, get_u64(p));
+    for (; p < end; ++p) {
+        h ^= static_cast<std::uint64_t>(*p) * kPrime5;
+        h = std::rotl(h, 11) * kPrime1;
+    }
+    for (const std::uint64_t word : key) h = fold(h, word);
+    // xxHash64's avalanche: every step is invertible.
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h;
+}
+
+/// Covers the envelope's seq, original tag and epoch, and the user payload
+/// (`n` bytes at `payload`).
+std::uint64_t envelope_checksum(std::uint64_t seq, std::int64_t orig_tag,
+                                std::int64_t orig_epoch, const std::byte* payload,
+                                std::size_t n) {
+    return checksum64(payload, n,
+                      {seq, static_cast<std::uint64_t>(orig_tag),
+                       static_cast<std::uint64_t>(orig_epoch)});
+}
+
+std::uint64_t control_checksum(std::uint64_t value) {
+    return checksum64(nullptr, 0, {value});
+}
+
+void put_u64(std::byte* at, std::uint64_t v) { std::memcpy(at, &v, 8); }
+
 std::optional<std::uint64_t> decode_control(const std::vector<std::byte>& p) {
     if (p.size() != kCtlBytes || get_u64(p.data()) != kCtlMagic) {
         return std::nullopt;
     }
     const std::uint64_t value = get_u64(p.data() + 8);
-    std::byte key[8];
-    std::memcpy(key, &value, 8);
-    if (fnv1a(key, sizeof key) != get_u64(p.data() + 16)) return std::nullopt;
+    if (control_checksum(value) != get_u64(p.data() + 16)) return std::nullopt;
     return value;
 }
 
@@ -118,10 +177,11 @@ void ReliableTransport::count_event(std::atomic<std::uint64_t>& cell,
 
 namespace {
 
-/// Wrap `msg` as a seq-numbered envelope. `carrier_epoch` is the epoch on
-/// the CARRIER message (what inbound epoch floors judge); the original
-/// epoch is preserved inside the header. First transmissions use
-/// carrier_epoch == msg.epoch; wire retransmits may bump it.
+/// Wrap `msg` as a seq-numbered envelope: the one copy of the payload a
+/// send makes. `carrier_epoch` is the epoch on the CARRIER message (what
+/// inbound epoch floors judge); the original epoch is preserved inside the
+/// header. First transmissions use carrier_epoch == msg.epoch; wire
+/// retransmits may bump it.
 Message make_envelope(const Message& msg, std::uint64_t seq, int carrier_epoch) {
     Message envelope;
     envelope.source = msg.source;
@@ -130,15 +190,18 @@ Message make_envelope(const Message& msg, std::uint64_t seq, int carrier_epoch) 
     envelope.arrival_time_s = msg.arrival_time_s;
     const std::int64_t orig_tag = msg.tag;
     const std::int64_t orig_epoch = msg.epoch;
-    envelope.payload.resize(kHeaderBytes + msg.payload.size());
+    envelope.payload.reserve(kHeaderBytes + msg.payload.size());
+    envelope.payload.resize(kHeaderBytes);
+    envelope.payload.insert(envelope.payload.end(), msg.payload.begin(),
+                            msg.payload.end());
     put_u64(envelope.payload.data(), kMagic);
     put_u64(envelope.payload.data() + 8, seq);
     put_u64(envelope.payload.data() + 16, static_cast<std::uint64_t>(orig_tag));
     put_u64(envelope.payload.data() + 24, static_cast<std::uint64_t>(orig_epoch));
     put_u64(envelope.payload.data() + 32,
-            envelope_checksum(seq, orig_tag, orig_epoch, msg.payload));
-    std::memcpy(envelope.payload.data() + kHeaderBytes, msg.payload.data(),
-                msg.payload.size());
+            envelope_checksum(seq, orig_tag, orig_epoch,
+                              envelope.payload.data() + kHeaderBytes,
+                              msg.payload.size()));
     return envelope;
 }
 
@@ -152,22 +215,23 @@ void ReliableTransport::deliver(int dst, Message msg) {
     }
     EdgeTx& e = tx(msg.source, dst);
 
-    std::uint64_t seq = 0;
+    Message envelope;
     {
         std::lock_guard<std::mutex> lock(e.mutex);
         const fsm::TxSendDecision d = fsm::arq_tx_send(
             e.state, e.acked.load(std::memory_order_acquire),
             inner_->rank_alive(dst));
         for (std::uint64_t i = 0; i < d.gc; ++i) e.buffer.pop_front();
+        // Built under the lock: once the FSM counts the seq as buffered, a
+        // receiver's in-process recovery may index it.
+        envelope = make_envelope(msg, d.seq, msg.epoch);
         if (d.buffer) {
-            e.buffer.push_back(msg);  // pristine copy survives the lossy fabric
+            // The original itself survives the lossy fabric; no copy.
+            e.buffer.push_back({std::move(msg), std::chrono::steady_clock::now()});
         } else if (d.clear > 0) {
             e.buffer.clear();
         }
-        seq = d.seq;
     }
-
-    Message envelope = make_envelope(msg, seq, msg.epoch);
     sent_.fetch_add(1, std::memory_order_relaxed);
     inner_->deliver(dst, std::move(envelope));
 }
@@ -180,7 +244,7 @@ void ReliableTransport::release_parked(int rank, EdgeRx& r, std::uint64_t n) {
     }
 }
 
-void ReliableTransport::process_incoming(int rank) {
+void ReliableTransport::process_incoming(int rank, bool immediate) {
     // Wire mode: cumulative acks owed per source after the envelope drain.
     // Coalesced (latest value wins) so a burst costs one ack frame per edge.
     std::map<int, std::uint64_t> owed_acks;
@@ -192,25 +256,34 @@ void ReliableTransport::process_incoming(int rank) {
             count_event(corrupt_dropped_, m_corrupt_dropped_);
             continue;
         }
-        const std::uint64_t seq = get_u64(env->payload.data() + 8);
+        std::vector<std::byte>& bytes = env->payload;
+        const std::uint64_t seq = get_u64(bytes.data() + 8);
         const std::int64_t orig_tag =
-            static_cast<std::int64_t>(get_u64(env->payload.data() + 16));
+            static_cast<std::int64_t>(get_u64(bytes.data() + 16));
         const std::int64_t orig_epoch =
-            static_cast<std::int64_t>(get_u64(env->payload.data() + 24));
-        const std::uint64_t checksum = get_u64(env->payload.data() + 32);
-
-        Message orig;
-        orig.source = env->source;
-        orig.tag = static_cast<int>(orig_tag);
-        orig.epoch = static_cast<int>(orig_epoch);
-        orig.arrival_time_s = env->arrival_time_s;
-        orig.payload.assign(env->payload.begin() +
-                                static_cast<std::ptrdiff_t>(kHeaderBytes),
-                            env->payload.end());
+            static_cast<std::int64_t>(get_u64(bytes.data() + 24));
+        // Verified in place, before anything is copied.
         const bool checksum_ok =
-            envelope_checksum(seq, orig_tag, orig_epoch, orig.payload) == checksum;
+            envelope_checksum(seq, orig_tag, orig_epoch,
+                              bytes.data() + kHeaderBytes,
+                              bytes.size() - kHeaderBytes) ==
+            get_u64(bytes.data() + 32);
 
-        const int src = orig.source;
+        // The envelope's own buffer becomes the user payload: the header is
+        // stripped in place rather than the payload copied out.
+        const auto unwrap = [&] {
+            bytes.erase(bytes.begin(),
+                        bytes.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
+            Message orig;
+            orig.source = env->source;
+            orig.tag = static_cast<int>(orig_tag);
+            orig.epoch = static_cast<int>(orig_epoch);
+            orig.arrival_time_s = env->arrival_time_s;
+            orig.payload = std::move(bytes);
+            return orig;
+        };
+
+        const int src = env->source;
         EdgeRx& r = rx(src, rank);
         const fsm::RxDecision d = fsm::arq_rx_envelope(r.state, seq, checksum_ok);
         switch (d.action) {
@@ -225,13 +298,13 @@ void ReliableTransport::process_incoming(int rank) {
                 if (wire_) owed_acks[src] = d.cum_ack;
                 break;
             case fsm::RxAction::kPark:
-                r.parked.emplace(seq, std::move(orig));
+                r.parked.emplace(seq, unwrap());
                 break;
             case fsm::RxAction::kDeliver:
                 // The delivered-mailbox epoch floor re-judges the ORIGINAL
                 // epoch here: a stale retransmit advances the seq space but
                 // its payload is discarded (wire stale-skip).
-                delivered_[static_cast<std::size_t>(rank)]->push(std::move(orig));
+                delivered_[static_cast<std::size_t>(rank)]->push(unwrap());
                 release_parked(rank, r, d.release);
                 if (wire_) {
                     owed_acks[src] = d.cum_ack;
@@ -269,7 +342,7 @@ void ReliableTransport::process_incoming(int rank) {
             count_event(corrupt_dropped_, m_corrupt_dropped_);
             continue;
         }
-        answer_pull(rank, pull->source, *value, pull->epoch);
+        answer_pull(rank, pull->source, *value, pull->epoch, immediate);
     }
     for (const auto& [src, cum] : owed_acks) {
         send_control(rank, src, kTagReliableAck, cum);
@@ -288,9 +361,7 @@ void ReliableTransport::send_control(int rank, int dst, int tag,
     m.payload.resize(kCtlBytes);
     put_u64(m.payload.data(), kCtlMagic);
     put_u64(m.payload.data() + 8, value);
-    std::byte key[8];
-    std::memcpy(key, &value, 8);
-    put_u64(m.payload.data() + 16, fnv1a(key, sizeof key));
+    put_u64(m.payload.data() + 16, control_checksum(value));
     try {
         inner_->deliver(dst, std::move(m));
     } catch (const CommError&) {
@@ -300,10 +371,18 @@ void ReliableTransport::send_control(int rank, int dst, int tag,
 }
 
 void ReliableTransport::answer_pull(int rank, int peer, std::uint64_t expected,
-                                    int pull_epoch) {
+                                    int pull_epoch, bool immediate) {
     if (peer < 0 || peer >= world_size() || peer == rank) return;
     EdgeTx& e = tx(rank, peer);
-    std::vector<std::pair<std::uint64_t, Message>> resend;
+    // A pull only knows what its receiver had seen when it was issued; it
+    // may have waited in the fabric while this rank was busy and then sent
+    // the very envelopes it names. Those are still in flight, not lost:
+    // re-emit only what went out at least one initial backoff ago. The
+    // receiver keeps pulling on its backoff schedule, so a real loss is
+    // still recovered by a later pull.
+    const auto now = std::chrono::steady_clock::now();
+    const auto in_flight_since = now - host_dur(config_.initial_backoff_s);
+    std::vector<Message> resend;
     {
         std::lock_guard<std::mutex> lock(e.mutex);
         if (expected > 0) {
@@ -312,24 +391,22 @@ void ReliableTransport::answer_pull(int rank, int peer, std::uint64_t expected,
             const std::uint64_t gc = fsm::arq_tx_ack(e.state, expected - 1);
             for (std::uint64_t i = 0; i < gc; ++i) e.buffer.pop_front();
         }
-        for (std::uint64_t seq = e.state.base_seq;
+        if (!inner_->rank_alive(peer)) return;
+        for (std::uint64_t seq = std::max(expected, e.state.base_seq);
              seq < e.state.base_seq + e.state.buffered; ++seq) {
-            if (seq < expected) continue;
-            resend.emplace_back(seq,
-                                e.buffer[static_cast<std::size_t>(
-                                    seq - e.state.base_seq)]);
+            Sent& sent = e.buffer[static_cast<std::size_t>(seq - e.state.base_seq)];
+            if (!immediate && sent.at > in_flight_since) continue;
+            sent.at = now;
+            // Original seq, tag, epoch, payload and arrival stamp — recovery
+            // is bit-identical. Only the CARRIER epoch is bumped to the
+            // puller's floor so the frame passes its inbound epoch filter;
+            // staleness of the payload itself is re-judged against the
+            // inner header on delivery.
+            resend.push_back(
+                make_envelope(sent.msg, seq, std::max(sent.msg.epoch, pull_epoch)));
         }
     }
-    if (resend.empty()) return;
-    if (!inner_->rank_alive(peer)) return;
-    for (auto& [seq, msg] : resend) {
-        // Original seq, tag, epoch, payload and arrival stamp — recovery is
-        // bit-identical. Only the CARRIER epoch is bumped to the puller's
-        // floor so the frame passes its inbound epoch filter; staleness of
-        // the payload itself is re-judged against the inner header on
-        // delivery.
-        Message envelope =
-            make_envelope(msg, seq, std::max(msg.epoch, pull_epoch));
+    for (Message& envelope : resend) {
         try {
             inner_->deliver(peer, std::move(envelope));
         } catch (const CommError&) {
@@ -370,7 +447,7 @@ std::size_t ReliableTransport::recover(int rank) {
                 const std::optional<std::uint64_t> idx =
                     fsm::arq_tx_buffer_index(e.state, r.state.expected);
                 if (!idx) break;  // gap head GCed, cleared, or not yet sent
-                head = e.buffer[static_cast<std::size_t>(*idx)];
+                head = e.buffer[static_cast<std::size_t>(*idx)].msg;
             }
             const bool stale = head.epoch < min_epoch;
             const fsm::RxRecoverDecision d = fsm::arq_rx_recover(r.state, stale);
@@ -397,7 +474,7 @@ std::size_t ReliableTransport::recover_now(int rank) {
     if (rank < 0 || rank >= world_size()) {
         throw std::out_of_range("recover_now: bad rank");
     }
-    process_incoming(rank);
+    process_incoming(rank, /*immediate=*/true);
     return recover(rank);
 }
 
@@ -414,7 +491,7 @@ void ReliableTransport::pump(int rank) {
             send_control(rank, peer, kTagReliablePull, r.state.expected);
         }
     }
-    process_incoming(rank);
+    process_incoming(rank, /*immediate=*/false);
     Backoff& b = backoff_[static_cast<std::size_t>(rank)];
     const auto now = std::chrono::steady_clock::now();
     if (!b.armed) {

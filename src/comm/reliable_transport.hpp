@@ -4,14 +4,20 @@
 //
 // Mechanism (classic ARQ, adapted to the simulated cluster):
 //   * Every non-control message is wrapped in an envelope carrying a
-//     per-directed-edge sequence number, the original tag and epoch, and an
-//     FNV-1a checksum, and travels on the reserved kTagReliableData tag.
-//   * The sender keeps a pristine copy in a per-edge retransmit buffer
-//     until the receiver's cumulative ack passes it.
-//   * The receiver unwraps envelopes in strict sequence order into a local
-//     per-rank mailbox: duplicates (seq already delivered) are discarded,
-//     out-of-order arrivals wait in a reassembly buffer, and a checksum or
-//     magic mismatch (fault-layer corruption) is treated as a loss.
+//     per-directed-edge sequence number, the original tag and epoch, and a
+//     64-bit word-at-a-time checksum (four xxHash64-style lanes, so any
+//     single-bit flip is detected with certainty), and travels on the
+//     reserved kTagReliableData tag. Building the envelope is the one copy
+//     of the payload a send makes.
+//   * The sender moves the original message itself into a per-edge
+//     retransmit buffer, where it stays until the receiver's cumulative ack
+//     passes it.
+//   * The receiver verifies the checksum in place and strips the header
+//     from the envelope's own buffer, then unwraps envelopes in strict
+//     sequence order into a local per-rank mailbox: duplicates (seq already
+//     delivered) are discarded, out-of-order arrivals wait in a reassembly
+//     buffer, and a checksum or magic mismatch (fault-layer corruption) is
+//     treated as a loss.
 //   * When a receive stalls on a sequence gap — the signature of a dropped
 //     or corrupted message — the receiver requests a retransmit with
 //     capped exponential backoff. With retries the delivery probability of
@@ -33,7 +39,9 @@
 //     and GCs its retransmit buffer. A stalled receiver sends
 //     kTagReliablePull frames carrying its next expected seq on the same
 //     backoff schedule; the sender treats expected-1 as a cumulative ack
-//     and re-emits every still-buffered envelope from that seq on, with the
+//     and re-emits every still-buffered envelope from that seq on that
+//     went out at least initial_backoff_s ago (younger ones are still in
+//     flight; the next pull catches them if they were lost), with the
 //     ORIGINAL payload, epoch and arrival stamp — so recovery over the
 //     wire is exactly as bit-identical as the in-process pull. Both
 //     endpoints execute the same fsm::arq_* transitions either way.
@@ -51,6 +59,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -133,17 +142,25 @@ public:
 
     /// Drain incoming envelopes for `rank` and immediately pull every
     /// recoverable gap head from live senders' buffers, bypassing the
-    /// backoff gate. Returns the number of messages recovered. Normal
-    /// operation never needs this — pump() recovers on its own schedule;
-    /// the protocheck replay bridge uses it to fire recovery exactly where
-    /// a counterexample trace says it fires (deterministic replay requires
-    /// an effectively-infinite configured backoff plus explicit calls).
+    /// backoff gate (wire mode: pulls drained here are answered without
+    /// the in-flight age gate, too). Returns the number of messages
+    /// recovered. Normal operation never needs this — pump() recovers on
+    /// its own schedule; the protocheck replay bridge uses it to fire
+    /// recovery exactly where a counterexample trace says it fires
+    /// (deterministic replay requires an effectively-infinite configured
+    /// backoff plus explicit calls).
     std::size_t recover_now(int rank);
 
     ReliableCounts counts() const;
     Transport& inner() { return *inner_; }
 
 private:
+    /// A buffered original and when it last went out on the inner fabric.
+    struct Sent {
+        Message msg;
+        std::chrono::steady_clock::time_point at;
+    };
+
     /// Sender-side per-edge state: the pure FSM state plus the payload
     /// buffer it indexes. `state.next_seq` is only advanced by the sending
     /// rank's thread; the buffer is shared with the receiving rank's
@@ -151,7 +168,7 @@ private:
     struct EdgeTx {
         std::mutex mutex;
         fsm::ArqTxState state;
-        std::deque<Message> buffer;  // pristine copies, [base_seq, +buffered)
+        std::deque<Sent> buffer;  // the originals, [base_seq, +buffered)
         /// Cumulative ack, receiver-written — the in-process ack channel.
         std::atomic<std::uint64_t> acked{0};
     };
@@ -183,7 +200,9 @@ private:
     void release_parked(int rank, EdgeRx& r, std::uint64_t n);
     /// Drain every envelope the inner fabric holds for `rank` (wire mode:
     /// also ack/pull control frames, answering pulls with retransmits).
-    void process_incoming(int rank);
+    /// `immediate` answers pulls without the in-flight age gate (see
+    /// answer_pull); only recover_now sets it.
+    void process_incoming(int rank, bool immediate);
     /// Pull gap-head messages for `rank`: straight from live senders'
     /// buffers in-process, via kTagReliablePull frames on the wire.
     /// Returns the number of messages recovered (wire mode: always 0 —
@@ -200,8 +219,11 @@ private:
     /// pump must never throw for control traffic.
     void send_control(int rank, int dst, int tag, std::uint64_t value);
     /// Answer a kTagReliablePull from `peer`: fold expected-1 as an ack,
-    /// then re-emit every still-buffered envelope with seq >= expected.
-    void answer_pull(int rank, int peer, std::uint64_t expected, int pull_epoch);
+    /// then re-emit every still-buffered envelope with seq >= expected
+    /// whose last transmission is at least initial_backoff_s old (all of
+    /// them when `immediate`).
+    void answer_pull(int rank, int peer, std::uint64_t expected, int pull_epoch,
+                     bool immediate);
 
     std::unique_ptr<Transport> inner_;
     ReliableConfig config_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 namespace gtopk::comm::tcp {
 
@@ -11,23 +12,23 @@ namespace {
 // depend on the host's integer layout, and byte-wise assembly keeps the
 // decoder free of unaligned loads (UBSan-clean on any input).
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
+void put_u32(std::byte* out, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+        out[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
     }
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
+void put_u64(std::byte* out, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+        out[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
     }
 }
 
-void put_i32(std::vector<std::byte>& out, std::int32_t v) {
+void put_i32(std::byte* out, std::int32_t v) {
     put_u32(out, static_cast<std::uint32_t>(v));
 }
 
-void put_f64(std::vector<std::byte>& out, double v) {
+void put_f64(std::byte* out, double v) {
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
@@ -115,8 +116,9 @@ void validate_header(const Header& h, std::uint64_t max_payload) {
 
 }  // namespace
 
-void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
-                  std::uint64_t max_payload) {
+void encode_frame_header(const Message& msg, int dst,
+                         std::span<std::byte, kFrameHeaderBytes> out,
+                         std::uint64_t max_payload) {
     Header h;
     h.magic = kFrameMagic;
     h.version = kFrameVersion;
@@ -128,32 +130,58 @@ void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
     h.payload_len = msg.payload.size();
     validate_header(h, max_payload);
 
+    std::byte* p = out.data();
+    put_u32(p + 0, h.magic);
+    put_u32(p + 4, h.version);
+    put_i32(p + 8, h.src);
+    put_i32(p + 12, h.dst);
+    put_i32(p + 16, h.tag);
+    put_i32(p + 20, h.epoch);
+    put_f64(p + 24, h.arrival_time_s);
+    put_u64(p + 32, h.payload_len);
+    put_u32(p + 40, 0);  // reserved: keeps the header 4-byte-rounded at 44
+}
+
+void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
+                  std::uint64_t max_payload) {
+    std::byte header[kFrameHeaderBytes];
+    encode_frame_header(msg, dst, header, max_payload);
     out.reserve(out.size() + kFrameHeaderBytes + msg.payload.size());
-    put_u32(out, h.magic);
-    put_u32(out, h.version);
-    put_i32(out, h.src);
-    put_i32(out, h.dst);
-    put_i32(out, h.tag);
-    put_i32(out, h.epoch);
-    put_f64(out, h.arrival_time_s);
-    put_u64(out, h.payload_len);
-    put_u32(out, 0);  // reserved: keeps the header 4-byte-rounded at 44
+    out.insert(out.end(), header, header + kFrameHeaderBytes);
     out.insert(out.end(), msg.payload.begin(), msg.payload.end());
 }
 
 void FrameDecoder::feed(std::span<const std::byte> bytes) {
-    // Compact the already-consumed prefix before growing: keeps the buffer
-    // proportional to the unfinished frame, not to connection lifetime.
-    if (consumed_ > 0) {
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-        consumed_ = 0;
+    if (bytes.empty()) return;
+    std::memcpy(prepare(bytes.size()).data(), bytes.data(), bytes.size());
+    commit(bytes.size());
+}
+
+std::span<std::byte> FrameDecoder::prepare(std::size_t n) {
+    if (buffer_.size() - end_ < n) {
+        // Compact the already-consumed prefix before growing: keeps the
+        // buffer proportional to the unfinished frame, not to connection
+        // lifetime.
+        const std::size_t live = end_ - consumed_;
+        if (consumed_ > 0) {
+            std::memmove(buffer_.data(), buffer_.data() + consumed_, live);
+            consumed_ = 0;
+            end_ = live;
+        }
+        if (buffer_.size() - end_ < n) buffer_.resize(end_ + n);
     }
-    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+    return {buffer_.data() + end_, n};
+}
+
+void FrameDecoder::commit(std::size_t n) {
+    if (n > buffer_.size() - end_) {
+        throw std::logic_error("FrameDecoder::commit: more than prepared");
+    }
+    end_ += n;
 }
 
 std::optional<DecodedFrame> FrameDecoder::next() {
-    const std::size_t avail = buffer_.size() - consumed_;
+    const std::size_t avail = end_ - consumed_;
     if (avail < kFrameHeaderBytes) return std::nullopt;
     const std::byte* base = buffer_.data() + consumed_;
 
@@ -173,9 +201,10 @@ std::optional<DecodedFrame> FrameDecoder::next() {
     frame.msg.payload.assign(base + kFrameHeaderBytes, base + total);
     frame.dst = h.dst;
     consumed_ += total;
-    if (consumed_ == buffer_.size()) {
-        buffer_.clear();
+    if (consumed_ == end_) {
+        // Drained: the next read lands at the front again.
         consumed_ = 0;
+        end_ = 0;
     }
     return frame;
 }

@@ -1,12 +1,15 @@
 // Wire framing for TcpTransport: one length-prefixed frame per Message.
 //
-// The codec is deliberately socket-free — encode_frame produces bytes,
-// FrameDecoder consumes an arbitrary re-chunking of them — so the fuzz
-// suite can drive the exact code the receiver thread runs without opening
-// a connection. Every header field is validated eagerly, BEFORE the
-// payload is buffered: a hostile or corrupted peer can make the decoder
-// throw FrameError (the connection is then dropped), never allocate an
-// attacker-chosen amount of memory or read out of bounds.
+// The codec is deliberately socket-free — encode_frame_header produces a
+// frame's header bytes (the sender writes them and the payload with one
+// gathering write; encode_frame appends both to a buffer), FrameDecoder
+// consumes an arbitrary re-chunking of them (feed, or prepare/commit to
+// read a socket into it) — so the fuzz suite can drive the exact code the
+// receiver thread runs without opening a connection. Every header field
+// is validated eagerly, BEFORE the payload is buffered: a hostile or
+// corrupted peer can make the decoder throw FrameError (the connection is
+// then dropped), never allocate an attacker-chosen amount of memory or
+// read out of bounds.
 //
 // Layout (little-endian, 44-byte header):
 //   u32  magic            'GTPK' (0x4754504B)
@@ -52,9 +55,15 @@ struct FrameError : std::runtime_error {
     explicit FrameError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Serialize `msg` (headed to `dst`) and append the frame to `out`.
-/// Validates the same invariants the decoder enforces, so a frame this
-/// process emits is always decodable by a peer with the same limits.
+/// Serialize the header of `msg`'s frame (headed to `dst`) into `out`;
+/// the payload bytes follow it on the wire unchanged. Validates the same
+/// invariants the decoder enforces, so a frame this process emits is always
+/// decodable by a peer with the same limits.
+void encode_frame_header(const Message& msg, int dst,
+                         std::span<std::byte, kFrameHeaderBytes> out,
+                         std::uint64_t max_payload = kMaxFramePayload);
+
+/// Serialize `msg` (headed to `dst`) and append the whole frame to `out`.
 void encode_frame(const Message& msg, int dst, std::vector<std::byte>& out,
                   std::uint64_t max_payload = kMaxFramePayload);
 
@@ -76,12 +85,19 @@ public:
     /// Append raw bytes from the connection.
     void feed(std::span<const std::byte> bytes);
 
+    /// Writable space for at least `n` more bytes at the end of the
+    /// buffered stream, so a socket read can land in the decoder directly;
+    /// commit() then appends the prefix that was actually written. The
+    /// space stays valid until the next call to any non-const member.
+    std::span<std::byte> prepare(std::size_t n);
+    void commit(std::size_t n);
+
     /// Decode the next complete frame, or nullopt if the buffered bytes end
     /// mid-header / mid-payload. Throws FrameError on a malformed header.
     std::optional<DecodedFrame> next();
 
     /// Bytes buffered but not yet consumed by next().
-    std::size_t buffered() const { return buffer_.size() - consumed_; }
+    std::size_t buffered() const { return end_ - consumed_; }
 
     /// True when the stream ends inside an incomplete frame — how the
     /// receiver distinguishes a clean peer shutdown (EOF on a frame
@@ -90,14 +106,17 @@ public:
 
     /// Drop all buffered state (connection reset).
     void reset() {
-        buffer_.clear();
         consumed_ = 0;
+        end_ = 0;
     }
 
 private:
     std::uint64_t max_payload_ = 0;
+    /// Storage; only [consumed_, end_) holds undecoded stream bytes. Its
+    /// size only grows, so steady-state reads never zero-fill it.
     std::vector<std::byte> buffer_;
     std::size_t consumed_ = 0;  // prefix of buffer_ already decoded
+    std::size_t end_ = 0;       // end of the buffered stream bytes
 };
 
 }  // namespace gtopk::comm::tcp

@@ -7,8 +7,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -123,6 +125,39 @@ IoResult read_full(int fd, void* buf, std::size_t len) {
         return IoResult::kClosed;  // EOF or hard error: the peer is gone
     }
     return IoResult::kOk;
+}
+
+/// Write the first `len` bytes of a frame — `header` followed by `payload`
+/// — with gathering sendmsg calls, so the payload goes to the socket
+/// straight from the caller's buffer. False on a hard socket error.
+bool write_frame(int fd, const std::byte* header, std::span<const std::byte> payload,
+                 std::size_t len) {
+    constexpr std::size_t kHead = tcp::kFrameHeaderBytes;
+    std::size_t done = 0;
+    while (done < len) {
+        iovec iov[2];
+        int count = 0;
+        if (done < kHead) {
+            iov[count++] = {const_cast<std::byte*>(header + done),
+                            std::min(kHead, len) - done};
+        }
+        const std::size_t from = done > kHead ? done - kHead : 0;
+        const std::size_t to = len > kHead ? len - kHead : 0;
+        if (from < to) {
+            iov[count++] = {const_cast<std::byte*>(payload.data() + from), to - from};
+        }
+        msghdr mh{};
+        mh.msg_iov = iov;
+        mh.msg_iovlen = static_cast<std::size_t>(count);
+        const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
+        if (n > 0) {
+            done += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        return false;
+    }
+    return true;
 }
 
 bool write_full(int fd, const void* buf, std::size_t len) {
@@ -242,6 +277,9 @@ int bound_port(int fd) {
 /// Returns -1 on deadline expiry so the caller can raise a typed error
 /// naming the peer it could not reach.
 int connect_retry(const sockaddr_in& addr, Clock::time_point deadline) {
+    // A peer's listener is usually up within a few milliseconds: retry
+    // after 1 ms, doubling to at most 50 ms.
+    useconds_t delay_us = 1000;
     for (;;) {
         const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (fd < 0) fail("socket");
@@ -251,7 +289,8 @@ int connect_retry(const sockaddr_in& addr, Clock::time_point deadline) {
         }
         ::close(fd);
         if (remaining_s(deadline) <= 0.0) return -1;
-        ::usleep(50 * 1000);
+        ::usleep(delay_us);
+        delay_us = std::min<useconds_t>(delay_us * 2, 50 * 1000);
     }
 }
 
@@ -725,18 +764,20 @@ void TcpTransport::accept_resume() {
             return;
         }
     }
-    install_fd(peer, fd, proposal, /*from_dial=*/false);
+    // Confirm BEFORE installing: once install_fd turns the link up, this
+    // rank's senders may write frames on the fd (the reliable layer answers
+    // a resume with an immediate ack + pull), and a frame that overtakes
+    // RESUME_OK fails the dialer's handshake read and downs the link again.
     unsigned char ok[kResumeBytes];
     put_u32(ok + 0, kResumeAckMagic);
     put_u32(ok + 4, static_cast<std::uint32_t>(rank_));
     put_u64(ok + 8, proposal);
-    bool sent = false;
-    {
-        std::lock_guard<std::mutex> lock(
-            send_mutexes_[static_cast<std::size_t>(peer)]);
-        sent = write_full(fd, ok, sizeof(ok));
+    if (!write_full(fd, ok, sizeof(ok))) {
+        ::close(fd);
+        link_mark_down(peer);  // link_resume already marked it up
+        return;
     }
-    if (!sent) link_mark_down(peer);
+    install_fd(peer, fd, proposal, /*from_dial=*/false);
 }
 
 void TcpTransport::dialer_loop() {
@@ -799,8 +840,9 @@ void TcpTransport::deliver(int dst, Message msg) {
     if (phase_[d].load(std::memory_order_acquire) == kPhaseDead) {
         throw CommError(CommErrorKind::RankKilled, rank_, dst, msg.tag, 0.0);
     }
-    std::vector<std::byte> frame;
-    tcp::encode_frame(msg, dst, frame, max_payload_);
+    std::byte header[tcp::kFrameHeaderBytes];
+    tcp::encode_frame_header(msg, dst, header, max_payload_);
+    const std::size_t frame_bytes = tcp::kFrameHeaderBytes + msg.payload.size();
 
     std::lock_guard<std::mutex> lock(send_mutexes_[d]);
     const int fd = peer_fds_[d].load();
@@ -828,23 +870,13 @@ void TcpTransport::deliver(int dst, Message msg) {
         }
         if (faults_.truncate_every_n != 0 && ord % faults_.truncate_every_n == 0) {
             socket_faults_injected_.fetch_add(1, std::memory_order_relaxed);
-            const std::size_t half = frame.size() / 2 > 0 ? frame.size() / 2 : 1;
-            (void)write_full(fd, frame.data(), half);
+            (void)write_frame(fd, header, msg.payload, frame_bytes / 2);
             (void)::shutdown(fd, SHUT_RDWR);
             link_mark_down(dst);
             return;
         }
     }
-    const std::byte* p = frame.data();
-    std::size_t left = frame.size();
-    while (left > 0) {
-        const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-        if (n > 0) {
-            p += n;
-            left -= static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
+    if (!write_frame(fd, header, msg.payload, frame_bytes)) {
         // Broken pipe / reset: down the link and drop the frame. The
         // reconnect FSM decides whether the peer is gone for good; the ARQ
         // layer recovers the payload either way.
@@ -914,7 +946,9 @@ std::vector<int> TcpTransport::take_reconnected(int rank) {
 }
 
 void TcpTransport::receiver_loop() {
-    std::vector<std::byte> buf(64 * 1024);
+    // Socket reads land in the peer's frame decoder directly, at most this
+    // many bytes per recv.
+    constexpr std::size_t kRecvChunk = 64 * 1024;
     std::vector<pollfd> pfds;
     std::vector<int> pfd_rank;
     const auto patience = to_duration(reconnect_.give_up_after_s);
@@ -989,13 +1023,12 @@ void TcpTransport::receiver_loop() {
                 continue;
             }
             const int peer = pfd_rank[i];
-            const ssize_t n = ::recv(pfds[i].fd, buf.data(), buf.size(), 0);
+            auto& decoder = decoders_[static_cast<std::size_t>(peer)];
+            const std::span<std::byte> space = decoder.prepare(kRecvChunk);
+            const ssize_t n = ::recv(pfds[i].fd, space.data(), space.size(), 0);
             if (n > 0) {
-                auto& decoder = decoders_[static_cast<std::size_t>(peer)];
+                decoder.commit(static_cast<std::size_t>(n));
                 try {
-                    decoder.feed(
-                        std::span<const std::byte>(buf.data(),
-                                                   static_cast<std::size_t>(n)));
                     while (auto frame = decoder.next()) {
                         if (frame->dst != rank_ || frame->msg.source != peer) {
                             // Misrouted or spoofed: the link is not

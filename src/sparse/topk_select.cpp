@@ -97,18 +97,21 @@ void finalize_into(std::span<const float> dense, std::span<std::int32_t> picked,
 float sampled_magnitude_cut(std::span<const float> dense, std::size_t k,
                             std::vector<float>& mags) {
     const std::size_t m = dense.size();
-    const std::size_t sample_size = std::min(m, std::max<std::size_t>(2048, m / 128));
+    // Sized from k as well as m, so the cut's rank in the sample stays near
+    // 32 even at the paper's densities (rho = 0.001 and below).
+    const std::size_t sample_size =
+        std::min(m, std::max({std::size_t{2048}, m / 128, 16 * m / k}));
+    const double density = static_cast<double>(k) / static_cast<double>(m);
+    auto rank = static_cast<std::size_t>(
+        std::llround(2.0 * density * static_cast<double>(sample_size)));
+    if (rank < 8) return -1.0f;  // too far into the tail of the sample
+    rank = std::min(rank, sample_size);
     const std::size_t step = m / sample_size;
     mags.clear();
     mags.reserve(sample_size);
     for (std::size_t i = 0, j = 0; j < sample_size; i += step, ++j) {
         mags.push_back(std::abs(dense[i]));
     }
-    const double density = static_cast<double>(k) / static_cast<double>(m);
-    auto rank = static_cast<std::size_t>(
-        std::llround(2.0 * density * static_cast<double>(mags.size())));
-    if (rank < 8) return -1.0f;  // too far into the tail of the sample
-    rank = std::min(rank, mags.size());
     std::nth_element(mags.begin(), mags.begin() + static_cast<std::ptrdiff_t>(rank - 1),
                      mags.end(), std::greater<float>());
     return mags[rank - 1];
@@ -142,6 +145,7 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
 
 void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace& ws,
                       SparseGradient& out, const TopkOptions& options) {
+    ws.prefiltered = false;
     if (k >= dense.size()) {
         // Degenerate: keep everything.
         out.dense_size = static_cast<std::int64_t>(dense.size());
@@ -187,6 +191,7 @@ void topk_select_into(std::span<const float> dense, std::size_t k, TopkWorkspace
                                  ws.perm.begin() + static_cast<std::ptrdiff_t>(k - 1),
                                  ws.perm.end(), greater);
                 finalize_into(dense, std::span<std::int32_t>(ws.perm.data(), k), out);
+                ws.prefiltered = true;
                 return;
             }
         }

@@ -44,6 +44,9 @@ SparseGradient topk_select(std::span<const float> dense, std::size_t k,
 struct TopkWorkspace {
     std::vector<std::int32_t> perm;
     std::vector<float> mags;
+    /// Whether the last topk_select_into call selected from the sampled
+    /// pre-filter's candidates (false: it ran the exact pass over all m).
+    bool prefiltered = false;
 };
 
 struct TopkOptions {

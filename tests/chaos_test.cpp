@@ -5,7 +5,8 @@
 // enforce the no-hang half mechanically.
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
+#include <string>
 
 #include "chaos_common.hpp"
 #include "collectives/collectives.hpp"
@@ -151,7 +152,14 @@ TEST(ChaosTest, RankKillMidTrainingSurfacesCommError) {
 // whose traffic is blackholed must surface CommError naming rank, peer and
 // tag on allreduce, allgather, broadcast and barrier alike.
 
-using CollectiveCase = std::tuple<const char*, void (*)(Communicator&)>;
+struct CollectiveCase {
+    const char* name;
+    void (*fn)(Communicator&);
+};
+// Print the collective's name only: gtest's default printer would put the
+// pointers' addresses into the test's listed name, which ASLR changes on
+// every run.
+void PrintTo(const CollectiveCase& c, std::ostream* os) { *os << c.name; }
 
 void run_allreduce(Communicator& comm) {
     std::vector<float> v(32, 1.0f);
@@ -174,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CollectiveCase{"allgather", &run_allgather},
                       CollectiveCase{"broadcast", &run_broadcast},
                       CollectiveCase{"barrier", &run_barrier}),
-    [](const auto& info) { return std::get<0>(info.param); });
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(CollectiveTimeout, DropSurfacesCommErrorNamingRankPeerTag) {
     const auto [name, fn] = GetParam();

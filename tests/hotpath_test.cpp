@@ -235,6 +235,38 @@ TEST(TopkPrefilter, BelowMinSizeAndDegenerateCasesMatch) {
     EXPECT_EQ(sparse::topk_select(small, 5000, ws), exact_reference(small, 5000));
 }
 
+TEST(TopkPrefilter, EngagesAtThePaperDensity) {
+    // The benchmark model's gradient (m = 267 274) at rho = 0.001: the
+    // sample is sized from k, so the cut's rank in it stays usable and the
+    // exact pass over all m indices is skipped.
+    const std::size_t m = 267274;
+    const std::size_t k = 267;
+    const auto dense = random_dense(m, 27);
+    sparse::TopkWorkspace ws;
+    sparse::SparseGradient out;
+    sparse::topk_select_into(dense, k, ws, out);
+    EXPECT_TRUE(ws.prefiltered);
+    EXPECT_EQ(out, exact_reference(dense, k));
+    // Switched off, the same workspace reports the exact pass.
+    sparse::topk_select_into(dense, k, ws, out, {.sampled_prefilter = false});
+    EXPECT_FALSE(ws.prefiltered);
+    EXPECT_EQ(out, exact_reference(dense, k));
+}
+
+TEST(TopkPrefilter, OvershootReportsTheExactPass) {
+    // The stride-aligned spikes of OvershootingSampleFallsBackToExact:
+    // fewer than k candidates survive the cut.
+    const std::size_t m = 1 << 15;
+    auto dense = random_dense(m, 24);
+    for (auto& v : dense) v *= 0.01f;
+    for (std::size_t i = 0; i < m; i += 16) dense[i] = 10.0f;
+    sparse::TopkWorkspace ws;
+    sparse::SparseGradient out;
+    sparse::topk_select_into(dense, 4096, ws, out);
+    EXPECT_FALSE(ws.prefiltered);
+    EXPECT_EQ(out, exact_reference(dense, 4096));
+}
+
 TEST(TopkPrefilter, WorkspaceReuseAcrossDifferentSizes) {
     sparse::TopkWorkspace ws;
     sparse::SparseGradient out;

@@ -7,6 +7,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 #include <thread>
 
 #include "chaos_common.hpp"
@@ -390,6 +393,160 @@ TEST(RecoveryTest, ReliableLayerSkipsStaleEpochsOnRecovery) {
     const auto got = reliable.receive_for(0, 1, msg.tag, 1.0);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->payload, std::vector<std::byte>{std::byte{43}});
+}
+
+// ---------------------------------------------------------------------------
+// Checksum coverage: every single-bit flip of an envelope or of an ack/pull
+// control frame is caught, counted as corrupt and never delivered or
+// folded. The flips are made by hand on frames captured from the inner
+// fabric, so each one is exactly one bit.
+
+/// Recovery effectively off: the only way a payload reaches the mailbox
+/// (or a retransmit goes out) is through the frame the test hands in.
+comm::ReliableConfig no_recovery() {
+    comm::ReliableConfig cfg;
+    cfg.initial_backoff_s = 1e9;
+    cfg.max_backoff_s = 1e9;
+    return cfg;
+}
+
+comm::Message patterned_message(std::size_t n) {
+    comm::Message m;
+    m.source = 0;
+    m.tag = comm::kFreshTagBase + 3;
+    m.epoch = 0;
+    m.arrival_time_s = 0.25;
+    m.payload.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        m.payload[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
+    }
+    return m;
+}
+
+comm::Message with_bit_flipped(const comm::Message& m, std::size_t bit) {
+    comm::Message bad = m;
+    bad.payload[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    return bad;
+}
+
+/// The bits flipped in an envelope of `bytes` bytes: all of them up to a
+/// few KB. Beyond that every bit of the 40-byte header and of the first
+/// and last 256 bytes, plus one bit of every 97th 8-byte word (its
+/// position cycling through all 64), which visits every lane and every bit
+/// position within a word without hashing a 267 KB envelope two million
+/// times.
+std::vector<std::size_t> flip_positions(std::size_t bytes) {
+    std::vector<std::size_t> bits;
+    if (bytes <= 4096) {
+        for (std::size_t b = 0; b < bytes * 8; ++b) bits.push_back(b);
+        return bits;
+    }
+    for (std::size_t b = 0; b < (40 + 256) * 8; ++b) bits.push_back(b);
+    for (std::size_t b = (bytes - 256) * 8; b < bytes * 8; ++b) bits.push_back(b);
+    for (std::size_t w = 296 / 8; (w + 1) * 8 <= bytes - 256; w += 97) {
+        bits.push_back(w * 64 + (w * 7) % 64);
+    }
+    return bits;
+}
+
+TEST(ReliableChecksum, EverySingleBitFlipOfAnEnvelopeIsDropped) {
+    for (const std::size_t n : {0, 1, 7, 8, 31, 32, 33, 267000}) {
+        SCOPED_TRACE("payload bytes " + std::to_string(n));
+        ReliableTransport reliable(
+            std::make_unique<FaultInjectingTransport>(2, FaultPlan{}), no_recovery());
+        const comm::Message msg = patterned_message(n);
+        reliable.deliver(1, msg);
+        const auto envelope =
+            reliable.inner().try_receive(1, 0, comm::kTagReliableData);
+        ASSERT_TRUE(envelope.has_value());
+        ASSERT_EQ(envelope->payload.size(), n + 40);
+
+        std::uint64_t flips = 0;
+        for (const std::size_t bit : flip_positions(envelope->payload.size())) {
+            reliable.inner().deliver(1, with_bit_flipped(*envelope, bit));
+            ASSERT_FALSE(reliable.try_receive(1, 0, msg.tag).has_value())
+                << "bit " << bit << " flipped and still delivered";
+            ASSERT_EQ(reliable.counts().corrupt_dropped, ++flips) << "bit " << bit;
+        }
+        // The untouched envelope still goes through, byte for byte.
+        reliable.inner().deliver(1, *envelope);
+        const auto got = reliable.try_receive(1, 0, msg.tag);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->payload, msg.payload);
+        EXPECT_EQ(got->epoch, msg.epoch);
+        EXPECT_EQ(got->arrival_time_s, msg.arrival_time_s);
+        EXPECT_EQ(reliable.counts().corrupt_dropped, flips);
+        reliable.shutdown();
+    }
+}
+
+/// In-process mailboxes that report themselves as separate processes, so
+/// the reliable layer above runs its wire ack plane (ack and pull frames).
+class WireFabric final : public comm::Transport {
+public:
+    explicit WireFabric(int world) : inner_(world) {}
+    int world_size() const override { return inner_.world_size(); }
+    void deliver(int dst, comm::Message msg) override {
+        inner_.deliver(dst, std::move(msg));
+    }
+    comm::Message receive(int rank, int source, int tag) override {
+        return inner_.receive(rank, source, tag);
+    }
+    std::optional<comm::Message> try_receive(int rank, int source, int tag) override {
+        return inner_.try_receive(rank, source, tag);
+    }
+    void shutdown() override { inner_.shutdown(); }
+    bool shared_memory_fabric() const override { return false; }
+
+private:
+    comm::InProcTransport inner_;
+};
+
+TEST(ReliableChecksum, EverySingleBitFlipOfAnAckOrPullIsDropped) {
+    ReliableTransport reliable(
+        std::make_unique<FaultInjectingTransport>(std::make_unique<WireFabric>(2),
+                                                  FaultPlan{}),
+        no_recovery());
+    ASSERT_FALSE(reliable.shared_memory_fabric());
+    auto& fabric = reliable.inner();
+    const comm::Message msg = patterned_message(16);
+
+    // Rank 0 sends seq 0; the envelope is held back, so rank 1 pulls it.
+    reliable.deliver(1, msg);
+    auto envelope = fabric.try_receive(1, 0, comm::kTagReliableData);
+    ASSERT_TRUE(envelope.has_value());
+    (void)reliable.recover_now(1);
+    const auto pull = fabric.try_receive(0, 1, comm::kTagReliablePull);
+    ASSERT_TRUE(pull.has_value());
+    // Then rank 1 gets the envelope and acks seq 0.
+    fabric.deliver(1, *envelope);
+    ASSERT_TRUE(reliable.try_receive(1, 0, msg.tag).has_value());
+    const auto ack = fabric.try_receive(0, 1, comm::kTagReliableAck);
+    ASSERT_TRUE(ack.has_value());
+
+    std::uint64_t flips = 0;
+    for (const comm::Message* frame : {&*pull, &*ack}) {
+        for (std::size_t bit = 0; bit < frame->payload.size() * 8; ++bit) {
+            fabric.deliver(0, with_bit_flipped(*frame, bit));
+            (void)reliable.recover_now(0);
+            ASSERT_EQ(reliable.counts().corrupt_dropped, ++flips)
+                << "tag " << frame->tag << " bit " << bit;
+        }
+    }
+    EXPECT_EQ(flips, 2u * 24 * 8);
+    // No flipped pull was answered and no flipped ack released seq 0: the
+    // untouched pull still finds it buffered and retransmits it.
+    EXPECT_EQ(reliable.counts().retransmits, 0u);
+    fabric.deliver(0, *pull);
+    (void)reliable.recover_now(0);
+    EXPECT_EQ(reliable.counts().retransmits, 1u);
+    // The untouched ack releases it: the same pull now finds nothing.
+    fabric.deliver(0, *ack);
+    fabric.deliver(0, *pull);
+    (void)reliable.recover_now(0);
+    EXPECT_EQ(reliable.counts().retransmits, 1u);
+    EXPECT_EQ(reliable.counts().corrupt_dropped, flips);
+    reliable.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 //                   [--drop-prob F] [--corrupt-prob F] [--fault-seed N]
 //                   [--socket-kill-every N] [--socket-truncate-every N]
 //                   [--socket-fault-seed N] [--socket-max-faults N]
+//                   [--stall-send-ms MS] [--initial-backoff-ms MS]
 //
 // When --rank/--world/--port are absent the worker bootstraps from the
 // GTOPK_RANK / GTOPK_WORLD_SIZE / GTOPK_RENDEZVOUS environment instead —
@@ -35,9 +36,16 @@
 // stacks a RecordingTransport on top and dumps this process's OUTBOUND
 // edges (src == local rank; over TCP a process never observes a remote
 // sender's program order) as "dst tag bytes" lines for the parent's
-// conformance diff. --stats-out dumps post-run transport/elastic counters
-// ("key value" lines) so the parent can assert reconnects really happened
-// and the survivor view is the expected one.
+// conformance diff. --stall-send-ms holds back this rank's first send of
+// every training step for MS milliseconds, so its peers wait on it (and,
+// with --reliable, pull) while it still "computes"; --initial-backoff-ms
+// sets the reliable layer's first retransmit-request delay (default 2 ms).
+// --stats-out dumps
+// post-run transport/elastic counters ("key value" lines) so the parent can
+// assert reconnects really happened and the survivor view is the expected
+// one.
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -46,6 +54,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/comm_error.hpp"
@@ -61,19 +70,25 @@
 
 namespace {
 
-/// Raises SIGKILL on this process the moment the trainer reports the
-/// configured step. Placed outermost so the trigger fires at the exact
-/// iteration boundary BEFORE any graceful-exit path (membership leave,
-/// socket teardown) can run — the peers must see an abrupt kernel-level
-/// death, same as an OOM kill or operator `kill -9`.
-class SigkillAtStep final : public gtopk::comm::Transport {
+/// Acts at the trainer's iteration boundaries. With a kill step it raises
+/// SIGKILL on this process the moment the trainer reports that step.
+/// Placed outermost so the trigger fires at the exact iteration boundary
+/// BEFORE any graceful-exit path (membership leave, socket teardown) can
+/// run — the peers must see an abrupt kernel-level death, same as an OOM
+/// kill or operator `kill -9`. With a stall it sleeps before the first send
+/// after each boundary: a slow rank whose peers already wait on it.
+class StepHooks final : public gtopk::comm::Transport {
 public:
-    SigkillAtStep(std::unique_ptr<gtopk::comm::Transport> inner,
-                  std::int64_t kill_step)
-        : inner_(std::move(inner)), kill_step_(kill_step) {}
+    /// `kill_step` < 0 never kills; `stall_s` == 0 never stalls.
+    StepHooks(std::unique_ptr<gtopk::comm::Transport> inner, std::int64_t kill_step,
+              double stall_s)
+        : inner_(std::move(inner)), kill_step_(kill_step), stall_s_(stall_s) {}
 
     int world_size() const override { return inner_->world_size(); }
     void deliver(int dst, gtopk::comm::Message msg) override {
+        if (stall_pending_.exchange(false)) {
+            std::this_thread::sleep_for(std::chrono::duration<double>(stall_s_));
+        }
         inner_->deliver(dst, std::move(msg));
     }
     gtopk::comm::Message receive(int rank, int source, int tag) override {
@@ -99,7 +114,8 @@ public:
     }
     bool rank_alive(int rank) const override { return inner_->rank_alive(rank); }
     void on_progress(int rank, std::int64_t step) override {
-        if (step >= kill_step_) ::raise(SIGKILL);
+        if (kill_step_ >= 0 && step >= kill_step_) ::raise(SIGKILL);
+        if (stall_s_ > 0.0) stall_pending_.store(true);
         inner_->on_progress(rank, step);
     }
     std::size_t pending_with_tag_at_least(int rank, int min_tag) const override {
@@ -116,6 +132,8 @@ public:
 private:
     std::unique_ptr<gtopk::comm::Transport> inner_;
     std::int64_t kill_step_;
+    double stall_s_;
+    std::atomic<bool> stall_pending_{false};
 };
 
 int require_arg(int argc, int i, const char* flag) {
@@ -154,6 +172,8 @@ int main(int argc, char** argv) {
     unsigned long socket_truncate_every = 0;
     unsigned long socket_fault_seed = 1;
     unsigned long socket_max_faults = 0;
+    double stall_send_s = 0.0;
+    comm::ReliableConfig reliable_config;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -205,6 +225,12 @@ int main(int argc, char** argv) {
         } else if (arg == "--socket-max-faults") {
             socket_max_faults = std::strtoul(
                 argv[i = require_arg(argc, i, "--socket-max-faults")], nullptr, 10);
+        } else if (arg == "--stall-send-ms") {
+            stall_send_s =
+                std::atof(argv[i = require_arg(argc, i, "--stall-send-ms")]) / 1e3;
+        } else if (arg == "--initial-backoff-ms") {
+            reliable_config.initial_backoff_s =
+                std::atof(argv[i = require_arg(argc, i, "--initial-backoff-ms")]) / 1e3;
         } else if (arg == "--reliable") {
             reliable = true;
         } else if (arg == "--conformance") {
@@ -288,18 +314,24 @@ int main(int argc, char** argv) {
             faulty = f.get();
             stack = std::move(f);
         }
+        comm::ReliableTransport* reliable_raw = nullptr;
         if (reliable) {
             // Wire mode: the reliable layer runs the full ARQ — sequence
             // envelopes out, cumulative acks and gap pulls back as frames.
-            stack = std::make_unique<comm::ReliableTransport>(std::move(stack),
-                                                              comm::ReliableConfig{});
+            auto rel = std::make_unique<comm::ReliableTransport>(std::move(stack),
+                                                                 reliable_config);
+            reliable_raw = rel.get();
+            stack = std::move(rel);
         }
         // --sigkill-rank gates the trigger to one rank so a shared-argv
         // gtopkrun launch can single out a victim; absent, the flag kills
         // whichever rank it was handed to (the direct fork/exec path).
-        if (real_sigkill && die_at_step >= 0 &&
-            (sigkill_rank < 0 || sigkill_rank == rank)) {
-            stack = std::make_unique<SigkillAtStep>(std::move(stack), die_at_step);
+        const bool kill_here = real_sigkill && die_at_step >= 0 &&
+                               (sigkill_rank < 0 || sigkill_rank == rank);
+        if (kill_here || stall_send_s > 0.0) {
+            stack = std::make_unique<StepHooks>(std::move(stack),
+                                                kill_here ? die_at_step : -1,
+                                                stall_send_s);
         }
         comm::RecordingTransport* recorder = nullptr;
         if (!record_path.empty()) {
@@ -352,6 +384,8 @@ int main(int argc, char** argv) {
                << "\n";
             os << "injected_corruptions "
                << (faulty ? faulty->counts().corrupted : 0) << "\n";
+            os << "retransmits "
+               << (reliable_raw ? reliable_raw->counts().retransmits : 0) << "\n";
             os << "regroups " << result.regroups << "\n";
             os << "epoch " << result.final_membership_epoch << "\n";
             if (!result.epochs.empty()) {

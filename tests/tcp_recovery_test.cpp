@@ -212,6 +212,50 @@ TEST(TcpRecovery, SeededSocketKillsReconnectAndStayBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// A slow rank is not a lossy one: while one rank holds its send back for
+// five initial backoffs, its waiting peers pull on their backoff schedule,
+// and those pulls reach it only after it finally sends. The envelopes they
+// name are in flight, not lost; sending them again would double the wire
+// traffic of that step for nothing. The backoff is raised from its 2 ms
+// default to 20 ms so that a process the scheduler preempts for a few
+// milliseconds (a loaded test host) is not mistaken for a lost envelope.
+
+TEST(TcpRecovery, DelayedSendOnCleanFabricRetransmitsNothing) {
+    const int world = 4;
+    const int slow = 1;
+    ParityScenario scenario(world);
+    const train::TrainResult baseline =
+        scenario.run(scenario.config(train::Algorithm::GtopkSsgd));
+
+    const std::string dir = fresh_dir();
+    const int port = tcptest::probe_free_port();
+    ASSERT_GT(port, 0);
+    const std::string bin = binary_beside_self("tcp_rank_worker");
+    std::vector<pid_t> pids;
+    for (int r = 0; r < world; ++r) {
+        std::vector<std::string> args = {
+            bin, "--rank", std::to_string(r), "--world", std::to_string(world),
+            "--port", std::to_string(port), "--algo", "gtopk",
+            "--out", dir + "/params_" + std::to_string(r) + ".bin",
+            "--stats-out", dir + "/stats_" + std::to_string(r) + ".txt",
+            "--reliable", "--initial-backoff-ms", "20"};
+        if (r == slow) args.insert(args.end(), {"--stall-send-ms", "100"});
+        pids.push_back(spawn(args));
+    }
+    for (int r = 0; r < world; ++r) {
+        ASSERT_EQ(wait_exit(pids[static_cast<std::size_t>(r)]), tcptest::kExitOk)
+            << "rank " << r;
+        expect_params_match_baseline(dir + "/params_" + std::to_string(r) + ".bin",
+                                     baseline.final_params,
+                                     "rank " + std::to_string(r));
+        const WorkerStats st =
+            read_stats(dir + "/stats_" + std::to_string(r) + ".txt");
+        EXPECT_EQ(st.get("retransmits"), 0) << "rank " << r;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // Real SIGKILL mid-run: survivors regroup over the wire, roll back to the
 // agreed checkpoint, converge on the 3-rank world, and the flight recorder
 // explains what happened.
