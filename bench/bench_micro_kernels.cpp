@@ -1,11 +1,13 @@
 // google-benchmark microbenches for the hot kernels: top-k selection
-// strategies, the ⊤ merge, wire (de)serialization, and host-side costs of
-// the aggregation algorithms on a small cluster.
+// strategies, the ⊤ merge, wire (de)serialization, host-side costs of the
+// aggregation algorithms on a small cluster, and the Linear layer's
+// forward/backward.
 #include <benchmark/benchmark.h>
 
 #include "comm/cluster.hpp"
 #include "comm/fault_transport.hpp"
 #include "core/aggregators.hpp"
+#include "nn/linear.hpp"
 #include "sparse/selection_policy.hpp"
 #include "sparse/topk_merge.hpp"
 #include "sparse/topk_select.hpp"
@@ -188,5 +190,29 @@ void BM_RingAllreduceHostCost(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RingAllreduceHostCost)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_LinearFwdBwd(benchmark::State& state) {
+    // One training pass through a Linear layer: forward on a [batch, in]
+    // input, then backward (accumulating dW, db and returning dx).
+    const std::int64_t in = state.range(0);
+    const std::int64_t out = state.range(1);
+    const std::int64_t batch = state.range(2);
+    util::Xoshiro256 rng(6);
+    nn::Linear lin(in, out, rng);
+    const nn::Tensor x({batch, in}, random_dense(static_cast<std::size_t>(batch * in), 7));
+    const nn::Tensor dy({batch, out}, random_dense(static_cast<std::size_t>(batch * out), 8));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lin.forward(x, true).raw());
+        benchmark::DoNotOptimize(lin.backward(dy).raw());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch * in * out);
+}
+// The perfbench MLP's layers (768-320-64-10, batch 8), then a wider layer
+// at a larger batch.
+BENCHMARK(BM_LinearFwdBwd)
+    ->Args({768, 320, 8})
+    ->Args({320, 64, 8})
+    ->Args({64, 10, 8})
+    ->Args({768, 512, 32});
 
 }  // namespace

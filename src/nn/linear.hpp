@@ -26,6 +26,7 @@ private:
     std::vector<float> dw_;
     std::vector<float> db_;
     Tensor cached_x_;
+    std::vector<float> xt_;  // forward scratch: one batch tile, [in][8]
 };
 
 }  // namespace gtopk::nn

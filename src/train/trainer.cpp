@@ -164,6 +164,9 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
         const std::size_t m = model->num_params();
         std::vector<float> residual(m, 0.0f);
         std::vector<float> velocity(m, 0.0f);
+        // The update phase's step -lr * update; every entry is rewritten
+        // each step.
+        std::vector<float> delta(m);
         const bool local_momentum =
             config.momentum_mode == TrainConfig::MomentumMode::LocalCorrection &&
             config.algorithm != Algorithm::DenseSsgd;
@@ -546,7 +549,6 @@ TrainResult train_distributed(int world_size, comm::NetworkModel net,
                 obs::ScopedSpan update_span(config.tracer, comm.clock(), rank,
                                             "update", "train");
                 update_span.attrs().round = static_cast<int>(step);
-                std::vector<float> delta(m);
                 if (local_momentum) {
                     for (std::size_t i = 0; i < m; ++i) delta[i] = -lr * update[i];
                 } else {

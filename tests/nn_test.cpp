@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "nn/activations.hpp"
 #include "nn/classifier_model.hpp"
@@ -72,6 +74,102 @@ TEST(LinearTest, RejectsWrongInputShape) {
     Linear lin(4, 2, rng);
     Tensor bad({1, 3});
     EXPECT_THROW(lin.forward(bad, false), std::invalid_argument);
+}
+
+// The straightforward Linear loops (sample outermost, one serial sum per
+// output), kept here as the oracle the blocked kernels in src/nn/linear.cpp
+// must match bit for bit.
+Tensor reference_linear_forward(const std::vector<float>& w, const std::vector<float>& b,
+                                 const Tensor& x, std::int64_t in, std::int64_t out) {
+    const std::int64_t n = x.dim(0);
+    Tensor y({n, out});
+    for (std::int64_t i = 0; i < n; ++i) {
+        const float* xi = x.raw() + i * in;
+        float* yi = y.raw() + i * out;
+        for (std::int64_t o = 0; o < out; ++o) {
+            const float* wo = w.data() + o * in;
+            float acc = b[static_cast<std::size_t>(o)];
+            for (std::int64_t k = 0; k < in; ++k) acc += xi[k] * wo[k];
+            yi[o] = acc;
+        }
+    }
+    return y;
+}
+
+Tensor reference_linear_backward(const std::vector<float>& w, const Tensor& x,
+                                  const Tensor& dy, std::int64_t in, std::int64_t out,
+                                  std::vector<float>& dw, std::vector<float>& db) {
+    const std::int64_t n = dy.dim(0);
+    Tensor dx({n, in});
+    for (std::int64_t i = 0; i < n; ++i) {
+        const float* xi = x.raw() + i * in;
+        const float* dyi = dy.raw() + i * out;
+        float* dxi = dx.raw() + i * in;
+        for (std::int64_t o = 0; o < out; ++o) {
+            const float g = dyi[o];
+            db[static_cast<std::size_t>(o)] += g;
+            float* dwo = dw.data() + o * in;
+            const float* wo = w.data() + o * in;
+            for (std::int64_t k = 0; k < in; ++k) {
+                dwo[k] += g * xi[k];
+                dxi[k] += g * wo[k];
+            }
+        }
+    }
+    return dx;
+}
+
+bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// Gaussian entries with every fifth one zero and every seventh -0.0f, so a
+// kernel that starts a dW or dx sum at its first product instead of adding
+// it to the zero-initialised element (0.0f + -0.0f is +0.0f) shows up in
+// the bits.
+Tensor signed_zero_tensor(std::int64_t rows, std::int64_t cols, Xoshiro256& rng) {
+    Tensor t({rows, cols});
+    for (std::int64_t e = 0; e < t.numel(); ++e) {
+        float v = static_cast<float>(rng.next_gaussian());
+        if (e % 5 == 0) v = 0.0f;
+        if (e % 7 == 0) v = -0.0f;
+        t[static_cast<std::size_t>(e)] = v;
+    }
+    return t;
+}
+
+TEST(LinearTest, BlockedKernelsAreBitIdenticalToReferenceLoops) {
+    for (const std::int64_t n : {1, 3, 8, 9, 17}) {
+        for (const std::int64_t in : {1, 5, 7, 768}) {
+            for (const std::int64_t out : {1, 3, 4, 5, 10}) {
+                SCOPED_TRACE(::testing::Message() << "n=" << n << " in=" << in << " out=" << out);
+                Xoshiro256 rng(static_cast<std::uint64_t>(n * 100003 + in * 101 + out));
+                Linear lin(in, out, rng);
+                std::vector<ParamView> params;
+                lin.collect_params(params);
+                ASSERT_EQ(params.size(), 2u);
+                for (auto& bias : *params[1].value) bias = static_cast<float>(rng.next_gaussian());
+                const std::vector<float>& w = *params[0].value;
+                const std::vector<float>& b = *params[1].value;
+
+                const Tensor x = signed_zero_tensor(n, in, rng);
+                const Tensor y = lin.forward(x, true);
+                EXPECT_TRUE(bitwise_equal(y.data(), reference_linear_forward(w, b, x, in, out).data()));
+
+                std::vector<float> dw(w.size(), 0.0f);
+                std::vector<float> db(b.size(), 0.0f);
+                for (int call = 0; call < 2; ++call) {
+                    SCOPED_TRACE(::testing::Message() << "backward call " << call);
+                    const Tensor dy = signed_zero_tensor(n, out, rng);
+                    const Tensor dx = lin.backward(dy);
+                    const Tensor ref_dx = reference_linear_backward(w, x, dy, in, out, dw, db);
+                    EXPECT_TRUE(bitwise_equal(dx.data(), ref_dx.data()));
+                    EXPECT_TRUE(bitwise_equal(*params[0].grad, dw));
+                    EXPECT_TRUE(bitwise_equal(*params[1].grad, db));
+                }
+            }
+        }
+    }
 }
 
 TEST(ActivationTest, ReluClampsNegatives) {
